@@ -255,6 +255,32 @@ func TestScriptErrors(t *testing.T) {
 	}
 }
 
+// TestScriptRejectsNonFinite: strconv.ParseFloat accepts "Inf" and "NaN",
+// so factor, fraction and size arguments must reject them explicitly; an
+// infinite load factor used to hang the request loop.
+func TestScriptRejectsNonFinite(t *testing.T) {
+	e := chaos.NewEngine(chaos.Host{})
+	for _, bad := range []string{
+		"t=1m load xInf",
+		"t=1m load x+Inf",
+		"t=1m load xNaN",
+		"t=1m compress xinf",
+		"t=1m ssd-wear NaN",
+		"t=1m ssd-wear Inf",
+		"t=1m bloat InfMiB",
+		"t=1m bloat NaNGiB",
+		"t=1m bloat 1e300GiB", // overflows int64 bytes
+	} {
+		err := e.AddScript(bad)
+		if err == nil || !strings.Contains(err.Error(), "bad ") {
+			t.Errorf("AddScript(%q) = %v, want a bad-argument error", bad, err)
+		}
+	}
+	if e.Events() != 0 {
+		t.Errorf("rejected clauses left %d events armed", e.Events())
+	}
+}
+
 // firstDiffLine locates the first differing line between two dumps.
 func firstDiffLine(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")

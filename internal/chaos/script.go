@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -212,8 +213,8 @@ func parseFactor(s string) (float64, error) {
 	if !strings.HasPrefix(s, "x") {
 		return 0, fmt.Errorf("want x<factor>, got %q", s)
 	}
-	f, err := strconv.ParseFloat(s[1:], 64)
-	if err != nil || f < 0 {
+	f, ok := parseNonNeg(s[1:])
+	if !ok {
 		return 0, fmt.Errorf("bad factor %q", s)
 	}
 	return f, nil
@@ -222,11 +223,19 @@ func parseFactor(s string) (float64, error) {
 // parseFrac parses a bare non-negative float (fractions may exceed 1:
 // ssd-wear 1.5 drains one and a half lifetimes).
 func parseFrac(s string) (float64, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f < 0 {
+	f, ok := parseNonNeg(s)
+	if !ok {
 		return 0, fmt.Errorf("bad fraction %q", s)
 	}
 	return f, nil
+}
+
+// parseNonNeg parses a finite non-negative float. strconv.ParseFloat also
+// accepts "Inf" and "NaN", which would poison every quantity they scale
+// (an infinite load factor never lets a request finish its touches).
+func parseNonNeg(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && f >= 0 && !math.IsInf(f, 1)
 }
 
 // sizeSuffixes maps size-literal suffixes to byte multipliers, longest
@@ -245,8 +254,8 @@ var sizeSuffixes = []struct {
 func parseSize(s string) (int64, error) {
 	for _, suf := range sizeSuffixes {
 		if strings.HasSuffix(s, suf.suffix) {
-			f, err := strconv.ParseFloat(strings.TrimSuffix(s, suf.suffix), 64)
-			if err != nil || f < 0 {
+			f, ok := parseNonNeg(strings.TrimSuffix(s, suf.suffix))
+			if !ok || f*float64(suf.mult) >= math.MaxInt64 {
 				break
 			}
 			return int64(f * float64(suf.mult)), nil

@@ -97,6 +97,13 @@ type Manager struct {
 	// Reclaim never nests (shrinking a group cannot trigger another
 	// reclaim), so a single buffer per manager is safe.
 	scratchGroups []*Group
+	// scratchPages is the oracle's reusable coldest-first victim buffer,
+	// under the same no-nesting argument.
+	scratchPages []*Page
+
+	// pageSlab is the unused tail of the slab NewPages carves small
+	// requests from (see pageSlabLen).
+	pageSlab []Page
 
 	// Batched swap-in scratch: the fault path gathers the demand page's
 	// handle plus its eligible cluster neighbours here and submits them as
@@ -387,7 +394,7 @@ func (m *Manager) NewPages(g *Group, t PageType, n int, compressibility float64)
 		compressibility = 1
 	}
 	pages := make([]*Page, n)
-	backing := make([]Page, n)
+	backing := m.allocPages(n)
 	for i := range pages {
 		p := &backing[i]
 		p.Type = t
@@ -397,6 +404,26 @@ func (m *Manager) NewPages(g *Group, t PageType, n int, compressibility float64)
 		pages[i] = p
 	}
 	return pages
+}
+
+// pageSlabLen is the size, in pages, of the slabs NewPages carves small
+// requests from. 512 pages (64 KiB) is a large object, which the Go
+// allocator page-aligns; a []Page between 512 B and 32 KiB would instead
+// start 8 bytes past an aligned boundary (the allocator's type header), and
+// every page's hot line would straddle two cache lines.
+const pageSlabLen = 512
+
+// allocPages returns n zeroed pages whose hot lines are 64-byte aligned.
+func (m *Manager) allocPages(n int) []Page {
+	if n >= pageSlabLen {
+		return make([]Page, n)
+	}
+	if len(m.pageSlab) < n {
+		m.pageSlab = make([]Page, pageSlabLen)
+	}
+	b := m.pageSlab[:n:n]
+	m.pageSlab = m.pageSlab[n:]
+	return b
 }
 
 // TouchResult describes the outcome of one page access.
@@ -448,6 +475,13 @@ func (m *Manager) TouchWrite(now vclock.Time, p *Page) TouchResult {
 // Touch simulates one access to page p at time now, handling any fault and
 // LRU bookkeeping, and returns what the accessing task experienced.
 func (m *Manager) Touch(now vclock.Time, p *Page) TouchResult {
+	if p.state == Resident && !p.far && p.pendingUntil <= now {
+		// Local resident hit, the request loop's common case: no fault,
+		// no wait, and no call into the fault paths.
+		m.markAccessed(p)
+		p.lastTouch, p.touched = now, true
+		return TouchResult{}
+	}
 	res := m.touch(now, p)
 	if res.Fault {
 		m.noteFault(now, p.group, res)
@@ -455,7 +489,8 @@ func (m *Manager) Touch(now vclock.Time, p *Page) TouchResult {
 	return res
 }
 
-// touch is Touch without the telemetry publication.
+// touch is Touch's slow path, without the telemetry publication: every
+// access except a local resident hit with nothing in flight.
 func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 	g := p.group
 	switch p.state {
@@ -479,29 +514,25 @@ func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 			p.lastTouch, p.touched = now, true
 			return TouchResult{Latency: lat, MemStall: true}
 		}
-		if p.pendingUntil > now {
-			// The page is still in flight on a batched load another fault
-			// submitted: coalesce onto that batch. The task waits out the
-			// remainder instead of issuing a duplicate load.
-			remainder := p.pendingUntil.Sub(now)
-			ioStall := p.pendingIO
-			p.pendingUntil, p.pendingIO = 0, false
-			p.refaulted = true
-			m.markAccessed(p)
-			p.lastTouch, p.touched = now, true
-			g.noteCost(now, Anon)
-			return TouchResult{
-				Fault:     true,
-				SwapIn:    true,
-				Coalesced: true,
-				Latency:   remainder,
-				MemStall:  true,
-				IOStall:   ioStall,
-			}
-		}
+		// Touch served the plain hit, so the page is still in flight on a
+		// batched load another fault submitted: coalesce onto that batch.
+		// The task waits out the remainder instead of issuing a duplicate
+		// load.
+		remainder := p.pendingUntil.Sub(now)
+		ioStall := p.pendingIO
+		p.pendingUntil, p.pendingIO = 0, false
+		p.refaulted = true
 		m.markAccessed(p)
 		p.lastTouch, p.touched = now, true
-		return TouchResult{}
+		g.noteCost(now, Anon)
+		return TouchResult{
+			Fault:     true,
+			SwapIn:    true,
+			Coalesced: true,
+			Latency:   remainder,
+			MemStall:  true,
+			IOStall:   ioStall,
+		}
 
 	case NotPresent:
 		var res TouchResult

@@ -24,7 +24,7 @@ package mm
 import "tmo/internal/vclock"
 
 // PageType distinguishes the two memory categories of §2.4.
-type PageType int
+type PageType uint8
 
 // The two page types.
 const (
@@ -42,7 +42,7 @@ func (t PageType) String() string {
 }
 
 // PageState describes where a page's content currently lives.
-type PageState int
+type PageState uint8
 
 // Page lifecycle states.
 const (
@@ -78,25 +78,75 @@ func (s PageState) String() string {
 // Page is one simulated page frame identity. For file pages the Page stands
 // for a (file, offset) position and persists across evictions; for anonymous
 // pages it stands for a virtual page of some process.
+//
+// Layout: every access runs the hit path (Manager.Touch → markAccessed), so
+// every field that path reads or writes lives in the first 64 bytes — one
+// cache line per resident hit, as the kernel keeps struct page at 64 bytes.
+// The swap, cluster and shadow fields, touched only on faults and reclaim,
+// follow on the second line, and the struct pads to a 128-byte stride so the
+// hot line of every page in a NewPages backing array (see allocPages) stays
+// line-aligned. TestPageLayout pins this; keep new hit-path fields in the
+// first line.
 type Page struct {
-	// Type is fixed at creation.
-	Type PageType
-	// Compressibility is the page content's intrinsic compression ratio
-	// (uncompressed/compressed) used when the page is offloaded to zswap.
-	Compressibility float64
+	// ---- hot line: the resident-hit path ----
 
 	group *Group
+	// LRU bookkeeping.
+	list       *lruList
+	next, prev *Page
+
+	// pendingUntil, when in the future, is the completion time of the
+	// batched load that is bringing this page in: readahead inserts cluster
+	// neighbours as Resident the moment the batch is submitted, and a touch
+	// before the batch lands is a coalesced fault that waits out the
+	// remainder instead of issuing a duplicate load. pendingIO records
+	// whether that batch performed block IO, for pressure classification.
+	pendingUntil vclock.Time
+
+	// lastTouch supports idle-page tracking (the Fig. 2 coldness
+	// characterisation) and is updated on every access; touched records
+	// whether the page was ever accessed.
+	lastTouch vclock.Time
+
+	// Type is fixed at creation.
+	Type  PageType
 	state PageState
 
-	// LRU bookkeeping.
 	active     bool
 	referenced bool
-	next, prev *Page
-	list       *lruList
+	// far marks a Resident anonymous page whose frame lives on the
+	// byte-addressable far-memory node rather than local DRAM: it is on the
+	// group's far list, costs no local capacity, and every touch pays the
+	// link latency in place of a fault.
+	far       bool
+	touched   bool
+	pendingIO bool
+	// farHits counts touches since the placement loop's last access-bit
+	// scan over this page, saturating; the loop promotes pages whose count
+	// crosses its threshold.
+	farHits uint8
 
 	// dirty marks a file page whose content has been modified since it
 	// was last written back; evicting it costs a device write.
 	dirty bool
+	// refaulted marks an anon page that demand-faulted back from the swap
+	// backend since its last offload. The next offload carries it as
+	// StoreReq.Refault so a multi-tier chain can promote the page toward a
+	// faster tier; it clears when the offload lands. Readahead neighbours
+	// that were never touched do not set it.
+	refaulted bool
+	// migrating marks a far page with a non-exclusive promotion copy in
+	// flight (Nomad-style): the page stays mapped far and fully accessible,
+	// so an aborted promotion costs nothing.
+	migrating bool
+	// hasShadow marks shadow as valid.
+	hasShadow bool
+
+	// ---- cold line: faults, reclaim and swap ----
+
+	// Compressibility is the page content's intrinsic compression ratio
+	// (uncompressed/compressed) used when the page is offloaded to zswap.
+	Compressibility float64
 
 	// handle locates the page in the swap backend while Offloaded.
 	handle uint64
@@ -107,45 +157,11 @@ type Page struct {
 	cluster                  *swapCluster
 	clusterNext, clusterPrev *Page
 
-	// refaulted marks an anon page that demand-faulted back from the swap
-	// backend since its last offload. The next offload carries it as
-	// StoreReq.Refault so a multi-tier chain can promote the page toward a
-	// faster tier; it clears when the offload lands. Readahead neighbours
-	// that were never touched do not set it.
-	refaulted bool
-
-	// pendingUntil, when in the future, is the completion time of the
-	// batched load that is bringing this page in: readahead inserts cluster
-	// neighbours as Resident the moment the batch is submitted, and a touch
-	// before the batch lands is a coalesced fault that waits out the
-	// remainder instead of issuing a duplicate load. pendingIO records
-	// whether that batch performed block IO, for pressure classification.
-	pendingUntil vclock.Time
-	pendingIO    bool
-
-	// far marks a Resident anonymous page whose frame lives on the
-	// byte-addressable far-memory node rather than local DRAM: it is on the
-	// group's far list, costs no local capacity, and every touch pays the
-	// link latency in place of a fault.
-	far bool
-	// farHits counts touches since the placement loop's last access-bit
-	// scan over this page, saturating; the loop promotes pages whose count
-	// crosses its threshold.
-	farHits uint8
-	// migrating marks a far page with a non-exclusive promotion copy in
-	// flight (Nomad-style): the page stays mapped far and fully accessible,
-	// so an aborted promotion costs nothing.
-	migrating bool
-
 	// shadow is the group eviction counter recorded when this file page
 	// was evicted; valid while hasShadow is set.
-	shadow    uint64
-	hasShadow bool
+	shadow uint64
 
-	// lastTouch supports idle-page tracking (the Fig. 2 coldness
-	// characterisation) and is updated on every access.
-	lastTouch vclock.Time
-	touched   bool // whether the page was ever accessed
+	_ [16]byte // pad to the 128-byte stride
 }
 
 // State returns where the page currently lives.

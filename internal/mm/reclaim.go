@@ -1,8 +1,9 @@
 package mm
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 
 	"tmo/internal/backend"
 	"tmo/internal/vclock"
@@ -138,7 +139,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 	target := (want + m.cfg.PageSize - 1) / m.cfg.PageSize
 
 	// Collect resident pages, coldest first.
-	var pages []*Page
+	pages := m.scratchPages[:0]
 	for t := PageType(0); t < numPageTypes; t++ {
 		for _, lst := range []*lruList{&g.lists[t][0], &g.lists[t][1]} {
 			for p := lst.head; p != nil; p = p.next {
@@ -147,6 +148,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 		}
 	}
 	sortPagesByAge(pages)
+	m.scratchPages = pages
 	res.ScannedPages = int64(len(pages))
 
 	var reclaimed, writebacks int64
@@ -228,12 +230,14 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 // sortPagesByAge orders pages coldest (oldest last touch) first; pages never
 // touched are coldest of all.
 func sortPagesByAge(pages []*Page) {
-	sort.SliceStable(pages, func(i, j int) bool {
-		pi, pj := pages[i], pages[j]
-		if pi.touched != pj.touched {
-			return !pi.touched
+	slices.SortStableFunc(pages, func(a, b *Page) int {
+		if a.touched != b.touched {
+			if !a.touched {
+				return -1
+			}
+			return 1
 		}
-		return pi.lastTouch < pj.lastTouch
+		return cmp.Compare(a.lastTouch, b.lastTouch)
 	})
 }
 

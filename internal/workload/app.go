@@ -37,9 +37,12 @@ type App struct {
 	mgr *mm.Manager
 	rng *rand.Rand
 
+	// classPages holds each temperature class's pages, hottest first; the
+	// touch table and shiftPhase share these slices.
 	classPages [][]*mm.Page
-	touchRates []float64 // expected touches per request, per class
-	accum      []float64
+	// touch is the request loop's flat view of the classes it touches:
+	// only those with pages and a re-reference period.
+	touch []touchClass
 
 	anonLazy       []*mm.Page
 	lazyCursor     int
@@ -77,6 +80,32 @@ type App struct {
 	restarts  int64
 }
 
+// touchClass is one entry of the request loop's touch table.
+type touchClass struct {
+	pages []*mm.Page
+	rate  float64 // expected touches per request at nominal load
+	step  float64 // rate*load: the carry added per request
+	accum float64 // fractional touch carry, in [0, 1) between requests
+}
+
+// advance adds one request's carry and returns the touches it owes. It is
+// the closed form of "accum += step; for accum >= 1 { accum--; touch }":
+// accum stays far below 2^53, where subtracting an integer is exact, so the
+// count and the residual carry match that loop bit for bit.
+func (c *touchClass) advance() int {
+	c.accum += c.step
+	if c.accum < 1 {
+		return 0
+	}
+	n := int(c.accum)
+	c.accum -= float64(n)
+	return n
+}
+
+// maxLoadFactor caps the demand multiplier so a request's touch count stays
+// finite and its float-to-int conversion well defined.
+const maxLoadFactor = 1000
+
 // maxCarry caps how much overrun debt a worker can accumulate, so one
 // pathological tick cannot silence a worker for the rest of a run.
 const maxCarryTicks = 4
@@ -101,8 +130,7 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 	nominal := p.NominalRPS()
 
 	a.classPages = make([][]*mm.Page, len(p.Classes))
-	a.touchRates = make([]float64, len(p.Classes))
-	a.accum = make([]float64, len(p.Classes))
+	a.touch = make([]touchClass, 0, len(p.Classes))
 	for i, c := range p.Classes {
 		n := int(float64(totalPages) * c.Frac)
 		if n == 0 {
@@ -118,7 +146,8 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 		a.classPages[i] = pages
 		a.fileFootprintPages += int64(fileN)
 		if c.Period > 0 {
-			a.touchRates[i] = float64(n) / (c.Period.Seconds() * nominal)
+			rate := float64(n) / (c.Period.Seconds() * nominal)
+			a.touch = append(a.touch, touchClass{pages: pages, rate: rate, step: rate * a.load})
 		}
 	}
 
@@ -175,8 +204,8 @@ func (a *App) Restart(now vclock.Time) {
 	a.mgr.FreePages(a.streamPages)
 	a.mgr.FreePages(a.bloatPages)
 	a.bloatPages = nil
-	for i := range a.accum {
-		a.accum[i] = 0
+	for i := range a.touch {
+		a.touch[i].accum = 0
 	}
 	for i := range a.carry {
 		a.carry[i] = 0
@@ -207,11 +236,19 @@ func (a *App) Admitted() float64 { return a.admitted }
 // set per unit time, a lull touches less. Unlike SetAdmitted it does not
 // change how many requests the workers serve, so RPS stays comparable
 // across the perturbation and the effect is purely on memory heat.
+// Negative and NaN factors clamp to 0, and factors above maxLoadFactor
+// (+Inf included) clamp to it.
 func (a *App) SetLoadFactor(f float64) {
-	if f < 0 {
+	if !(f >= 0) {
 		f = 0
 	}
+	if f > maxLoadFactor {
+		f = maxLoadFactor
+	}
 	a.load = f
+	for i := range a.touch {
+		a.touch[i].step = a.touch[i].rate * f
+	}
 }
 
 // LoadFactor returns the current demand multiplier.
@@ -342,19 +379,15 @@ func (o *requestOutcome) absorb(r mm.TouchResult) {
 	}
 }
 
-// serveRequest simulates the page accesses of one request at time now.
-func (a *App) serveRequest(now vclock.Time) requestOutcome {
-	var out requestOutcome
-	for i := range a.classPages {
-		rate := a.touchRates[i]
-		if rate == 0 || len(a.classPages[i]) == 0 {
-			continue
-		}
-		a.accum[i] += rate * a.load
-		for a.accum[i] >= 1 {
-			a.accum[i]--
-			pg := a.classPages[i][a.rng.IntN(len(a.classPages[i]))]
-			out.absorb(a.mgr.Touch(now, pg))
+// serveRequest simulates the page accesses of one request at time now,
+// accumulating their outcome into out. (Filled through a pointer rather
+// than returned: the caller's copy of a returned struct reloads it with
+// wide loads that miss store forwarding, a stall on every request.)
+func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
+	for i := range a.touch {
+		c := &a.touch[i]
+		for n := c.advance(); n > 0; n-- {
+			out.absorb(a.mgr.Touch(now, c.pages[a.rng.IntN(len(c.pages))]))
 		}
 	}
 	// Lazy anonymous growth.
@@ -384,7 +417,6 @@ func (a *App) serveRequest(now vclock.Time) requestOutcome {
 			}
 		}
 	}
-	return out
 }
 
 // PhaseShifts returns how many working-set drifts have occurred.
@@ -512,7 +544,8 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 			// misses the file cache (§4.4); the penalty is CPU time, not
 			// a stall.
 			cpu := vclock.Duration(float64(a.jitterCPU()) * frontEnd)
-			o := a.serveRequest(now.Add(busy))
+			var o requestOutcome
+			a.serveRequest(now.Add(busy), &o)
 			cpu += vclock.Duration(o.refaults) * a.Profile.RefaultCPUPenalty
 			wall := cpu + o.memOnly + o.both + o.ioOnly
 			a.latencies.Add(float64(wall))
