@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check race bench bench-check
+.PHONY: all check race bench bench-check perf-ab
 
 all: check
 
@@ -30,3 +30,15 @@ bench:
 # ns/op regression, every benchmark fails on any allocs/op growth.
 bench-check:
 	$(GO) run ./cmd/benchjson -out /tmp/BENCH_fresh.json -compare BENCH_core.json -tolerance 0.10 $(BENCH_FLAGS)
+
+# Interleaved A/B timing of the repository benchmark (scripts/perf-ab.sh):
+# AB_REF against the working tree on AB_WORKLOAD, one alternating pair per
+# seed, AB_SECONDS of wall time per run. The defaults are a held-out claim
+# run against the last commit.
+AB_REF ?= HEAD
+AB_WORKLOAD ?= host-steady
+AB_SECONDS ?= 25
+AB_SEEDS ?= 141 142 143 144 145 146 147 148 149 150
+
+perf-ab:
+	bash scripts/perf-ab.sh $(AB_REF) $(AB_WORKLOAD) $(AB_SECONDS) $(AB_SEEDS)

@@ -24,7 +24,13 @@ import (
 // seed. Every simulated component that needs randomness derives its own
 // source so that adding a component never perturbs another's stream.
 func NewRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	return rand.New(NewPCG(seed))
+}
+
+// NewPCG returns the PCG source NewRand wraps, for a caller that saves and
+// restores the stream's state (a PCG is a plain value: copying it saves it).
+func NewPCG(seed uint64) *rand.PCG {
+	return rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
 }
 
 // Sampler produces random durations from a fixed distribution.

@@ -96,9 +96,26 @@ func (e Event) String() string {
 // Log is a fixed-capacity ring of events. The zero value is unusable; call
 // NewLog.
 type Log struct {
-	ring  []Event
+	ring  []entry
 	next  int
 	total int64
+}
+
+// entry is one retained event with its detail not yet formatted: the ring
+// keeps only the last few events, and some sources (a refault, a tier
+// demotion) emit on every occurrence, so formatting waits until the event is
+// read.
+type entry struct {
+	time    vclock.Time
+	kind    Kind
+	subject string
+	format  string
+	args    []any
+}
+
+// event renders e.
+func (e entry) event() Event {
+	return Event{Time: e.time, Kind: e.kind, Subject: e.subject, Detail: fmt.Sprintf(e.format, e.args...)}
 }
 
 // NewLog returns a log retaining the most recent capacity events.
@@ -106,12 +123,14 @@ func NewLog(capacity int) *Log {
 	if capacity <= 0 {
 		panic("trace: capacity must be positive")
 	}
-	return &Log{ring: make([]Event, 0, capacity)}
+	return &Log{ring: make([]entry, 0, capacity)}
 }
 
-// Emit records an event.
+// Emit records an event whose detail is fmt.Sprintf(format, args...). The
+// detail is formatted when the event is read, so args must be values that
+// do not change afterwards: no pointers, and no slice the caller reuses.
 func (l *Log) Emit(now vclock.Time, kind Kind, subject, format string, args ...any) {
-	e := Event{Time: now, Kind: kind, Subject: subject, Detail: fmt.Sprintf(format, args...)}
+	e := entry{time: now, kind: kind, subject: subject, format: format, args: args}
 	if len(l.ring) < cap(l.ring) {
 		l.ring = append(l.ring, e)
 	} else {
@@ -126,12 +145,13 @@ func (l *Log) Total() int64 { return l.total }
 
 // Events returns the retained events in chronological order.
 func (l *Log) Events() []Event {
-	if len(l.ring) < cap(l.ring) {
-		return append([]Event(nil), l.ring...)
-	}
 	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
+	for _, e := range l.ring[l.next:] {
+		out = append(out, e.event())
+	}
+	for _, e := range l.ring[:l.next] {
+		out = append(out, e.event())
+	}
 	return out
 }
 

@@ -146,3 +146,24 @@ func TestRingInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countingArg counts how often its detail is formatted.
+type countingArg struct{ n *int }
+
+func (c countingArg) String() string { *c.n++; return "x" }
+
+// Emit formats nothing: an event's detail is rendered only when the log is
+// read, so events the ring evicts unread cost no formatting.
+func TestEmitFormatsOnRead(t *testing.T) {
+	formatted := 0
+	l := NewLog(3)
+	for i := 0; i < 100; i++ {
+		l.Emit(vclock.Time(i), KindMMRefault, "g", "%v after %d", countingArg{&formatted}, i)
+	}
+	if formatted != 0 {
+		t.Fatalf("Emit formatted %d details", formatted)
+	}
+	if got := l.Tail(0); formatted != 3 || !strings.HasSuffix(got, "x after 99\n") {
+		t.Fatalf("Tail formatted %d details: %q", formatted, got)
+	}
+}

@@ -35,6 +35,9 @@ type App struct {
 	Group   *cgroup.Group
 
 	mgr *mm.Manager
+	// rng draws from pcg; the request planner saves and restores pcg's
+	// state to rewind a plan (rand.Rand itself holds no state).
+	pcg *rand.PCG
 	rng *rand.Rand
 
 	// classPages holds each temperature class's pages, hottest first; the
@@ -43,6 +46,10 @@ type App struct {
 	// touch is the request loop's flat view of the classes it touches:
 	// only those with pages and a re-reference period.
 	touch []touchClass
+	// plan holds the current worker's requests drawn ahead of serving, and
+	// warm the result of their burst of page loads (see planRequests).
+	plan requestPlan
+	warm uint8
 
 	anonLazy       []*mm.Page
 	lazyCursor     int
@@ -86,6 +93,7 @@ type touchClass struct {
 	rate  float64 // expected touches per request at nominal load
 	step  float64 // rate*load: the carry added per request
 	accum float64 // fractional touch carry, in [0, 1) between requests
+	saved float64 // accum before the open plan's first draw
 }
 
 // advance adds one request's carry and returns the touches it owes. It is
@@ -117,13 +125,14 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 		Profile:  p,
 		Group:    g,
 		mgr:      mgr,
-		rng:      dist.NewRand(seed),
+		pcg:      dist.NewPCG(seed),
 		admitted: 1,
 		cpuShare: 1,
 		load:     1,
 		compress: p.Compressibility,
 		carry:    make([]vclock.Duration, p.Workers),
 	}
+	a.rng = rand.New(a.pcg)
 	a.latencies = metrics.NewReservoir(4096, dist.NewRand(seed^0x5a5a).Int64N)
 	pageSize := mgr.Config().PageSize
 	totalPages := p.FootprintBytes / pageSize
@@ -150,6 +159,7 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 			a.touch = append(a.touch, touchClass{pages: pages, rate: rate, step: rate * a.load})
 		}
 	}
+	a.plan.refs, a.plan.pages = a.plan.refBuf[:0], a.plan.pageBuf[:0]
 
 	if p.StreamFileBytesPerSec > 0 && p.StreamSetBytes > 0 {
 		n := int(p.StreamSetBytes / pageSize)
@@ -167,12 +177,19 @@ func (a *App) Start(now vclock.Time) {
 	a.anonLazy = a.anonLazy[:0]
 	a.lazyCursor = 0
 	for _, pages := range a.classPages {
-		for _, pg := range pages {
-			if pg.Type == mm.Anon && p.AnonGrowth {
-				a.anonLazy = append(a.anonLazy, pg)
-				continue
+		// The pages are shuffled, so this walk misses the cache as the
+		// request loop does; load each burst's lines together first.
+		for len(pages) > 0 {
+			burst := pages[:min(planTouches, len(pages))]
+			pages = pages[len(burst):]
+			a.warm = mm.Warm(burst)
+			for _, pg := range burst {
+				if pg.Type == mm.Anon && p.AnonGrowth {
+					a.anonLazy = append(a.anonLazy, pg)
+					continue
+				}
+				a.mgr.Touch(now, pg)
 			}
-			a.mgr.Touch(now, pg)
 		}
 	}
 	if p.AnonGrowth {
@@ -379,16 +396,127 @@ func (o *requestOutcome) absorb(r mm.TouchResult) {
 	}
 }
 
-// serveRequest simulates the page accesses of one request at time now,
-// accumulating their outcome into out. (Filled through a pointer rather
-// than returned: the caller's copy of a returned struct reloads it with
-// wide loads that miss store forwarding, a stall on every request.)
-func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
+// Request planning. Every access runs mm.Touch, whose loads of the page —
+// and of its LRU neighbours when the touch activates it — miss the cache on
+// a large footprint. A request averages under one touch and hundreds of
+// instructions, so requests served one at a time pay those misses one at a
+// time. A worker's loop instead draws its next requests ahead
+// (planRequests), loads all their pages in one burst (mm.Warm), and serves
+// them in order (serveRequest). The output stays bit-identical to drawing
+// and serving one request at a time because:
+//
+//   - planning makes each request's draws in serving order: the jitterCPU
+//     Float64, then one IntN page index per touch in touch-table order;
+//   - a plan lives inside one worker's loop of one tick: when a stall ends
+//     the loop with requests unserved, closePlan restores the RNG state and
+//     touch carries saved at plan time and replays the served requests'
+//     draws, so placeStalls, shiftPhase and the next worker draw the stream
+//     they always have;
+//   - mm never calls back into an App mid-tick, so nothing else draws from
+//     rng or moves the touch table while a plan is open, and Warm is
+//     read-only.
+
+// Plan bounds. planTouches is the burst cap: enough touches to overlap
+// their misses, few enough that their lines are still in L1 when served.
+// planRequests bounds a plan's buffers, and the replay a rewind costs, when
+// requests touch nothing.
+const (
+	planTouches  = 16
+	planRequests = 64
+)
+
+// requestPlan is one worker's requests drawn ahead of serving. Its buffers
+// live in the App, so planning allocates nothing. The touch buffers hold
+// twice the burst cap, since the request that reaches the cap may overshoot
+// it; only a request with more touches than that (a load factor far above
+// 1) grows refs and pages, once.
+type requestPlan struct {
+	n, next int                           // requests planned; the next to serve
+	cpu     [planRequests]vclock.Duration // each request's CPU time
+	// end[k] is the end of request k's touches in refs and pages; request
+	// k's touches start at end[k-1], or 0.
+	end   [planRequests]int32
+	refs  []touchRef // each touch's draw, in draw order
+	pages []*mm.Page // refs resolved to their pages
+	// pcg is the RNG state before the plan's first draw (touchClass.saved
+	// holds the carries).
+	pcg     rand.PCG
+	refBuf  [2 * planTouches]touchRef
+	pageBuf [2 * planTouches]*mm.Page
+}
+
+// touchRef is one drawn touch: a touch-table entry and a page index in it.
+type touchRef struct{ class, idx int32 }
+
+// planRequests draws the worker's next requests and loads their pages. It
+// stops once the planned CPU alone fills remaining, the worker's unused
+// budget — so a worker whose requests do not stall serves its plan to the
+// end — or at the plan bounds.
+func (a *App) planRequests(remaining vclock.Duration, frontEnd float64) {
+	p := &a.plan
+	p.pcg = *a.pcg
+	for i := range a.touch {
+		a.touch[i].saved = a.touch[i].accum
+	}
+	p.n, p.next, p.refs, p.pages = 0, 0, p.refs[:0], p.pages[:0]
+	var planned vclock.Duration
+	for planned < remaining && len(p.refs) < planTouches && p.n < planRequests {
+		cpu := vclock.Duration(float64(a.drawRequest()) * frontEnd)
+		p.cpu[p.n], p.end[p.n] = cpu, int32(len(p.refs))
+		p.n++
+		planned += cpu
+	}
+	for _, r := range p.refs {
+		p.pages = append(p.pages, a.touch[r.class].pages[r.idx])
+	}
+	a.warm = mm.Warm(p.pages)
+}
+
+// drawRequest makes one request's draws, appending its touches to the plan,
+// and returns its CPU time before the front-end factor.
+func (a *App) drawRequest() vclock.Duration {
+	cpu := a.jitterCPU()
 	for i := range a.touch {
 		c := &a.touch[i]
 		for n := c.advance(); n > 0; n-- {
-			out.absorb(a.mgr.Touch(now, c.pages[a.rng.IntN(len(c.pages))]))
+			a.plan.refs = append(a.plan.refs, touchRef{int32(i), int32(a.rng.IntN(len(c.pages)))})
 		}
+	}
+	return cpu
+}
+
+// closePlan ends the worker's plan. If requests are left unserved, it
+// rewinds the RNG and the touch carries to where serving only the served
+// requests leaves them.
+func (a *App) closePlan() {
+	p := &a.plan
+	if served := p.next; served < p.n {
+		*a.pcg = p.pcg
+		for i := range a.touch {
+			a.touch[i].accum = a.touch[i].saved
+		}
+		p.refs = p.refs[:0]
+		for range served {
+			a.drawRequest()
+		}
+	}
+	p.n, p.next = 0, 0
+}
+
+// serveRequest serves the plan's next request at time now, accumulating its
+// outcome into out, and returns its CPU time. (Filled through a pointer
+// rather than returned: the caller's copy of a returned struct reloads it
+// with wide loads that miss store forwarding, a stall on every request.)
+func (a *App) serveRequest(now vclock.Time, out *requestOutcome) vclock.Duration {
+	p := &a.plan
+	k := p.next
+	p.next++
+	first := int32(0)
+	if k > 0 {
+		first = p.end[k-1]
+	}
+	for _, pg := range p.pages[first:p.end[k]] {
+		out.absorb(a.mgr.Touch(now, pg))
 	}
 	// Lazy anonymous growth.
 	if a.growPerRequest > 0 && a.lazyCursor < len(a.anonLazy) {
@@ -417,6 +545,7 @@ func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
 			}
 		}
 	}
+	return p.cpu[k]
 }
 
 // PhaseShifts returns how many working-set drifts have occurred.
@@ -540,12 +669,14 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 		a.carry[w] = 0
 		var tot requestOutcome
 		for busy < budget {
-			// Front-end-bound workloads run slower when their bytecode
-			// misses the file cache (§4.4); the penalty is CPU time, not
-			// a stall.
-			cpu := vclock.Duration(float64(a.jitterCPU()) * frontEnd)
+			if a.plan.next == a.plan.n {
+				// Front-end-bound workloads run slower when their
+				// bytecode misses the file cache (§4.4); the penalty is
+				// CPU time, not a stall.
+				a.planRequests(budget-busy, frontEnd)
+			}
 			var o requestOutcome
-			a.serveRequest(now.Add(busy), &o)
+			cpu := a.serveRequest(now.Add(busy), &o)
 			cpu += vclock.Duration(o.refaults) * a.Profile.RefaultCPUPenalty
 			wall := cpu + o.memOnly + o.both + o.ioOnly
 			a.latencies.Add(float64(wall))
@@ -559,6 +690,7 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 			a.completed++
 			res.Completed++
 		}
+		a.closePlan()
 		if busy > tick {
 			over := busy - tick
 			if lim := vclock.Duration(maxCarryTicks) * tick; over > lim {

@@ -122,7 +122,9 @@ func TestServeRequestMatchesReferenceLoop(t *testing.T) {
 		}
 		now := vclock.Time(req+1) * vclock.Time(vclock.Millisecond)
 
-		// Reference: the original loop over every class.
+		// Reference: the request's jitterCPU draw, then the original loop
+		// over every class.
+		ref.rng.Float64()
 		var want []pagePos
 		for i := range ref.classPages {
 			if rates[i] == 0 || len(ref.classPages[i]) == 0 {
@@ -135,7 +137,9 @@ func TestServeRequestMatchesReferenceLoop(t *testing.T) {
 			}
 		}
 
+		app.planRequests(1, 1) // a one-request plan
 		app.serveRequest(now, &requestOutcome{})
+		app.closePlan()
 		var got []pagePos
 		for _, l := range all {
 			if last, ok := l.pg.LastTouch(); ok && last == now {
